@@ -32,11 +32,7 @@ import pytest
 
 from _host import usable_cpus
 from repro.core.corpus import Corpus
-from repro.mapreduce.cluster import (
-    overlapped_makespan,
-    speedup_curve,
-    straggler_ratio,
-)
+from repro.mapreduce.cluster import speedup_curve, straggler_ratio
 from repro.mapreduce.pipeline import PolygamyPipeline
 from repro.synth import nyc_urban_collection
 from repro.temporal.resolution import TemporalResolution
@@ -137,11 +133,6 @@ def test_fig10b_measured_cluster_speedup(smoke, write_bench_record):
     serial_index = corpus.build_index(temporal=temporal)
     serial_seconds = time.perf_counter() - start
     simulated = speedup_curve(serial_index.job_stats, list(MEASURED_HOSTS))
-    # The same replay under the v2 streaming scheduler's model (the shuffle
-    # fold hides behind the map wave) — what the cluster backend actually runs.
-    simulated_overlapped = speedup_curve(
-        serial_index.job_stats, list(MEASURED_HOSTS), makespan=overlapped_makespan
-    )
 
     measured_seconds: dict[int, float] = {}
     for n_hosts in MEASURED_HOSTS:
@@ -162,14 +153,11 @@ def test_fig10b_measured_cluster_speedup(smoke, write_bench_record):
         f"\nFigure 10(b) — measured cluster speedup vs. simulated "
         f"({cpus} usable CPU(s), serial build {serial_seconds:.2f}s)"
     )
-    print(
-        f"{'hosts':>6s} {'wall (s)':>9s} {'measured':>9s} "
-        f"{'sim barrier':>12s} {'sim overlap':>12s}"
-    )
+    print(f"{'hosts':>6s} {'wall (s)':>9s} {'measured':>9s} {'simulated':>10s}")
     for n in MEASURED_HOSTS:
         print(
             f"{n:>6d} {measured_seconds[n]:>9.2f} {measured[n]:>8.2f}x "
-            f"{simulated[n]:>11.2f}x {simulated_overlapped[n]:>11.2f}x"
+            f"{simulated[n]:>9.2f}x"
         )
     if notice:
         print(f"NOTICE: {notice}")
@@ -188,9 +176,6 @@ def test_fig10b_measured_cluster_speedup(smoke, write_bench_record):
         },
         "simulated_speedup": {
             str(n): round(simulated[n], 3) for n in MEASURED_HOSTS
-        },
-        "simulated_overlapped_speedup": {
-            str(n): round(simulated_overlapped[n], 3) for n in MEASURED_HOSTS
         },
         "bit_identical": True,
     }

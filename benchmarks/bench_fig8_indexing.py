@@ -7,9 +7,9 @@ each collection and print both phases; the paper's qualitative observations
 are asserted: adding the taxi data set dominates the Urban cost, and for the
 Open collection feature identification outweighs scalar-function computation.
 ``test_fig8c_parallel_indexing`` re-runs the Urban build through the
-map-reduce engine with four threads and checks the parallel index is
-bit-identical to the serial one (the §5.4 deployment argument).
-``test_fig8d_executor_comparison`` races all three executors on the same
+map-reduce engine with four worker processes and checks the parallel index
+is bit-identical to the serial one (the §5.4 deployment argument).
+``test_fig8d_executor_comparison`` races serial against process on the same
 build — indexing is dominated by the pure-Python merge-tree sweeps, the
 workload the process executor exists for — and records the measured
 speedups as a ``BENCH_*.json`` artifact.
@@ -121,7 +121,7 @@ def test_fig8b_nyc_open(benchmark, smoke):
 
 
 def test_fig8c_parallel_indexing(benchmark, urban_small):
-    """Serial vs. 4-thread map-reduce indexing: identical index, lower wall."""
+    """Serial vs. 4-process map-reduce indexing: identical index, lower wall."""
     corpus = Corpus(urban_small.datasets, urban_small.city)
     temporal = (TemporalResolution.DAY, TemporalResolution.WEEK)
 
@@ -129,7 +129,7 @@ def test_fig8c_parallel_indexing(benchmark, urban_small):
     serial = corpus.build_index(temporal=temporal)
     serial_seconds = time.perf_counter() - start
     start = time.perf_counter()
-    parallel = corpus.build_index(temporal=temporal, n_workers=4, executor="thread")
+    parallel = corpus.build_index(temporal=temporal, n_workers=4, executor="process")
     parallel_seconds = time.perf_counter() - start
 
     assert serial.stats.n_scalar_functions == parallel.stats.n_scalar_functions
@@ -143,13 +143,13 @@ def test_fig8c_parallel_indexing(benchmark, urban_small):
                 assert np.array_equal(fn_s.function.values, fn_p.function.values)
 
     print(
-        "\nFigure 8(c) — parallel indexing (thread, 4 workers)\n"
+        "\nFigure 8(c) — parallel indexing (process, 4 workers)\n"
         f"serial: {serial_seconds:.2f}s  parallel: {parallel_seconds:.2f}s  "
         f"({parallel.job_stats.n_map_chunks} map chunks)"
     )
     benchmark.pedantic(
         lambda: corpus.build_index(
-            temporal=temporal, n_workers=4, executor="thread"
+            temporal=temporal, n_workers=4, executor="process"
         ),
         iterations=1,
         rounds=2,
@@ -168,11 +168,11 @@ def _assert_index_identical(reference, other):
 
 
 def test_fig8d_executor_comparison(benchmark, urban_small, write_bench_record):
-    """Serial vs thread vs process indexing: identical index, who is fastest.
+    """Serial vs process indexing: identical index, who is fastest.
 
     Hour resolution makes the build merge-tree-bound (feature identification
-    is >90% of the wall time), i.e. pure-Python work the thread executor
-    cannot overlap — exactly the gap the process executor closes.  The
+    is >90% of the wall time), i.e. pure-Python work that only separate
+    worker processes can overlap.  The
     measured wall times and speedups are recorded to
     ``BENCH_fig8d_executor_comparison.json`` for the per-commit perf
     trajectory.
@@ -189,15 +189,11 @@ def test_fig8d_executor_comparison(benchmark, urban_small, write_bench_record):
         return min(runs, key=lambda r: r[0])
 
     serial_seconds, serial_index = best_of_two()
-    thread_seconds, thread_index = best_of_two(
-        n_workers=COMPARISON_WORKERS, executor="thread"
-    )
     process_seconds, process_index = best_of_two(
         n_workers=COMPARISON_WORKERS, executor="process"
     )
 
     # Bit-identical indexes regardless of executor.
-    _assert_index_identical(serial_index, thread_index)
     _assert_index_identical(serial_index, process_index)
 
     cpus = usable_cpus()
@@ -206,9 +202,7 @@ def test_fig8d_executor_comparison(benchmark, urban_small, write_bench_record):
         "workers": COMPARISON_WORKERS,
         "n_scalar_functions": serial_index.stats.n_scalar_functions,
         "serial_seconds": round(serial_seconds, 4),
-        "thread_seconds": round(thread_seconds, 4),
         "process_seconds": round(process_seconds, 4),
-        "thread_speedup": round(serial_seconds / thread_seconds, 3),
         "process_speedup": round(serial_seconds / process_seconds, 3),
         "bit_identical": True,
     }
@@ -221,7 +215,6 @@ def test_fig8d_executor_comparison(benchmark, urban_small, write_bench_record):
     print(f"{'mode':>10s} {'seconds':>9s} {'speedup':>8s}")
     for mode, seconds in (
         ("serial", serial_seconds),
-        ("thread", thread_seconds),
         ("process", process_seconds),
     ):
         print(f"{mode:>10s} {seconds:>9.2f} {serial_seconds / seconds:>7.2f}x")

@@ -6,15 +6,15 @@ size because everything operates on the precomputed features.  We query
 growing prefixes of both collections and print the rate series.
 
 ``test_fig9c_parallel_query_rate`` additionally runs the same query serially
-and through the map-reduce engine with ``executor="thread", n_workers=4``:
+and through the map-reduce engine with ``executor="process", n_workers=4``:
 results must be bit-identical, and the printed ratio is the measured
 parallel speedup (the paper's Hadoop deployment argument, §5.4).
-``test_fig9d_executor_comparison`` races all three executors on one query —
-bit-identical results asserted, rates recorded to ``BENCH_*.json``.  Query
-work (FFT cross-correlations, permutation tests) is NumPy-bound and
-releases the GIL, so here threads are the natural winner and the process
-executor's job is merely to stay competitive despite pickling the feature
-payloads.
+``test_fig9d_executor_comparison`` races serial against process on one
+query — bit-identical results asserted, rates recorded to ``BENCH_*.json``.
+Query work (feature comparisons, permutation tests) is a stream of small
+NumPy calls that each hold the interpreter lock, so only separate worker
+processes overlap it; the process executor pays for that by pickling the
+feature payloads into every task.
 ``test_fig9e_significance_modes`` races the three significance modes on a
 single core — batched must reproduce exact's p-values bit-for-bit,
 adaptive must reproduce every significance decision at α, and both must
@@ -91,7 +91,7 @@ def test_fig9b_nyc_open_rate(benchmark, smoke):
 
 
 def test_fig9c_parallel_query_rate(benchmark, urban_small, smoke):
-    """Serial vs. 4-thread map-reduce query: identical results, higher rate."""
+    """Serial vs. 4-process map-reduce query: identical results, higher rate."""
     corpus = Corpus(urban_small.datasets, urban_small.city)
     index = corpus.build_index(
         temporal=(TemporalResolution.DAY, TemporalResolution.WEEK)
@@ -108,7 +108,7 @@ def test_fig9c_parallel_query_rate(benchmark, urban_small, smoke):
         return max(runs, key=lambda r: r.evaluations_per_minute)
 
     serial = best_rate()
-    parallel = best_rate(n_workers=PARALLEL_WORKERS, executor="thread")
+    parallel = best_rate(n_workers=PARALLEL_WORKERS, executor="process")
 
     # Bit-identical outcome regardless of scheduling.
     assert [r.p_value for r in serial.results] == [r.p_value for r in parallel.results]
@@ -119,14 +119,14 @@ def test_fig9c_parallel_query_rate(benchmark, urban_small, smoke):
 
     ratio = parallel.evaluations_per_minute / max(serial.evaluations_per_minute, 1e-9)
     print(
-        f"\nFigure 9(c) — parallel query rate ({PARALLEL_WORKERS} threads, "
+        f"\nFigure 9(c) — parallel query rate ({PARALLEL_WORKERS} processes, "
         f"{_usable_cpus()} usable CPU(s))"
     )
     print(
         f"{'mode':>10s} {'#evaluations':>13s} {'evals/minute':>13s}\n"
         f"{'serial':>10s} {serial.n_evaluated:>13,d} "
         f"{serial.evaluations_per_minute:>13,.0f}\n"
-        f"{'thread-4':>10s} {parallel.n_evaluated:>13,d} "
+        f"{'process-4':>10s} {parallel.n_evaluated:>13,d} "
         f"{parallel.evaluations_per_minute:>13,.0f}\n"
         f"speedup: {ratio:.2f}x"
     )
@@ -146,7 +146,7 @@ def test_fig9c_parallel_query_rate(benchmark, urban_small, smoke):
             n_permutations=n_permutations,
             seed=0,
             n_workers=PARALLEL_WORKERS,
-            executor="thread",
+            executor="process",
         ),
         iterations=1,
         rounds=3,
@@ -154,7 +154,7 @@ def test_fig9c_parallel_query_rate(benchmark, urban_small, smoke):
 
 
 def test_fig9d_executor_comparison(benchmark, urban_small, smoke, write_bench_record):
-    """Serial vs thread vs process query: identical results, measured rates."""
+    """Serial vs process query: identical results, measured rates."""
     corpus = Corpus(urban_small.datasets, urban_small.city)
     index = corpus.build_index(
         temporal=(TemporalResolution.DAY, TemporalResolution.WEEK)
@@ -169,21 +169,18 @@ def test_fig9d_executor_comparison(benchmark, urban_small, smoke, write_bench_re
         return max(runs, key=lambda r: r.evaluations_per_minute)
 
     serial = best_rate()
-    thread = best_rate(n_workers=PARALLEL_WORKERS, executor="thread")
     process = best_rate(n_workers=PARALLEL_WORKERS, executor="process")
 
-    for parallel in (thread, process):
-        assert [r.p_value for r in serial.results] == [
-            r.p_value for r in parallel.results
-        ]
-        assert [(r.function1, r.function2, r.score) for r in serial.results] == [
-            (r.function1, r.function2, r.score) for r in parallel.results
-        ]
-        assert serial.n_evaluated == parallel.n_evaluated
+    assert [r.p_value for r in serial.results] == [
+        r.p_value for r in process.results
+    ]
+    assert [(r.function1, r.function2, r.score) for r in serial.results] == [
+        (r.function1, r.function2, r.score) for r in process.results
+    ]
+    assert serial.n_evaluated == process.n_evaluated
 
     rates = {
         "serial": serial.evaluations_per_minute,
-        "thread": thread.evaluations_per_minute,
         "process": process.evaluations_per_minute,
     }
     record = {
@@ -192,7 +189,6 @@ def test_fig9d_executor_comparison(benchmark, urban_small, smoke, write_bench_re
         "n_evaluated": serial.n_evaluated,
         "n_permutations": n_permutations,
         "evaluations_per_minute": {k: round(v, 1) for k, v in rates.items()},
-        "thread_speedup": round(rates["thread"] / max(rates["serial"], 1e-9), 3),
         "process_speedup": round(rates["process"] / max(rates["serial"], 1e-9), 3),
         "bit_identical": True,
     }

@@ -9,7 +9,7 @@ a workflow artifact (see ``.github/workflows/ci.yml``):
   deterministic collection, load the artifact written by ``build``, and
   assert that (a) the loaded index matches the rebuilt one bit for bit and
   (b) both answer the reference query identically under serial *and*
-  threaded execution.
+  process-parallel execution.
 
 Any mismatch exits non-zero, failing the workflow.
 
@@ -130,14 +130,14 @@ def cmd_verify(args: argparse.Namespace) -> None:
 
     reference = rebuilt.query(**QUERY_KWARGS)
     serial = loaded.query(**QUERY_KWARGS)
-    threaded = loaded.query(**QUERY_KWARGS, n_workers=4, executor="thread")
+    parallel = loaded.query(**QUERY_KWARGS, n_workers=4, executor="process")
     check(
         query_rows(reference) == query_rows(serial),
         "loaded-index query differs from rebuilt-index query (serial)",
     )
     check(
-        query_rows(reference) == query_rows(threaded),
-        "loaded-index query differs from rebuilt-index query (threaded)",
+        query_rows(reference) == query_rows(parallel),
+        "loaded-index query differs from rebuilt-index query (process)",
     )
     check(
         (reference.n_evaluated, reference.n_candidates, reference.n_significant)
@@ -146,7 +146,7 @@ def cmd_verify(args: argparse.Namespace) -> None:
     )
     logger.info(
         "query equality: OK (%d evaluated, %d significant, "
-        "serial == threaded == rebuilt)",
+        "serial == process == rebuilt)",
         reference.n_evaluated,
         reference.n_significant,
     )

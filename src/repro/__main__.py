@@ -30,10 +30,9 @@ metrics snapshot in a ``.metrics.json`` sibling.  ``$REPRO_LOG_JSON=1``
 switches the ``repro.*`` logger hierarchy to JSON-lines on stderr.
 
 ``index``, ``update``, ``query`` and ``demo`` accept ``--workers N`` and
-``--executor {serial,thread,process,cluster}`` to fan indexing,
-relationship evaluation and index I/O out through the map-reduce engine
-(§5.4); ``thread`` overlaps the NumPy-heavy parts, ``process`` also
-parallelizes the pure-Python merge-tree sweeps (payloads travel through
+``--executor {serial,process,cluster}`` to fan indexing, relationship
+evaluation and index I/O out through the map-reduce engine (§5.4);
+``process`` runs tasks on a worker process pool (payloads travel through
 the shared-memory plane), and ``cluster`` dispatches to ``repro worker``
 daemons over TCP (the coordinator binds ``$REPRO_CLUSTER``, default
 ``127.0.0.1:7077``; large arrays travel through the spool/socket artifact
@@ -722,9 +721,8 @@ def _add_parallel_flags(parser: argparse.ArgumentParser) -> None:
         "--executor",
         choices=ALL_EXECUTORS,
         default=None,
-        help="map-reduce executor: 'thread' overlaps NumPy work, 'process' "
-        "also parallelizes pure-Python merge-tree sweeps, 'cluster' "
-        "dispatches to `repro worker` daemons over TCP "
+        help="map-reduce executor: 'process' runs tasks on a worker "
+        "process pool, 'cluster' dispatches to `repro worker` daemons over TCP "
         "(default: $REPRO_EXECUTOR, else serial)",
     )
 

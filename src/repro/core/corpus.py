@@ -18,16 +18,16 @@ miniature:
   (:class:`~repro.core.operator.PairTask`) and reduces their outcomes into
   one :class:`~repro.core.operator.RelationReport` per data set pair.
 
-``build_index(..., n_workers=4, executor="thread")`` and
-``query(..., n_workers=4, executor="thread")`` therefore fan work out across
-cores while producing **bit-identical** results to the serial path: map
-outputs are reassembled in canonical order and every significance test
-spawns its own per-pair RNG (see ``operator._pair_rng``).
-``executor="process"`` extends the same guarantee to worker *processes*
-(jobs and payloads are pickle-clean; large matrices travel through the
-shared-memory plane), which also parallelizes the pure-Python merge-tree
-sweeps that dominate indexing.  Knobs left unset fall back to
-``$REPRO_EXECUTOR`` / ``$REPRO_WORKERS``.
+``build_index(..., n_workers=4, executor="process")`` and
+``query(..., n_workers=4, executor="process")`` therefore fan work out across
+worker processes while producing **bit-identical** results to the serial
+path: map outputs are reassembled in canonical order and every significance
+test spawns its own per-pair RNG (see ``operator._pair_rng``).  Jobs and
+payloads are pickle-clean and large matrices travel through the
+shared-memory plane, so the pure-Python merge-tree sweeps that dominate
+indexing parallelize too.  ``executor="cluster"`` gives the same guarantee
+across hosts.  Knobs left unset fall back to ``$REPRO_EXECUTOR`` /
+``$REPRO_WORKERS``.
 """
 
 from __future__ import annotations
@@ -345,11 +345,9 @@ class Corpus:
             count + attribute functions).
         n_workers, executor:
             Parallel-execution knobs forwarded to the map-reduce engine:
-            ``executor="thread"`` or ``"process"`` with ``n_workers > 1``
-            fans the (data set, resolution) partitions out across a worker
-            pool ("process" also parallelizes the pure-Python merge-tree
-            sweeps; its payloads travel through the shared-memory plane).
-            Results are bit-identical to the serial default.  ``None`` falls
+            ``executor="process"`` with ``n_workers > 1`` fans the (data
+            set, resolution) partitions out across a worker process pool
+            (payloads travel through the shared-memory plane).  Results are bit-identical to the serial default.  ``None`` falls
             back to ``$REPRO_EXECUTOR`` / ``$REPRO_WORKERS``, then serial.
         engine:
             Optional pre-configured engine (a
@@ -513,8 +511,7 @@ class CorpusIndex:
         ``n_workers``/``executor`` (or an explicit ``engine``) fan the
         function-pair evaluations out through the map-reduce engine; per-pair
         RNGs are spawned via ``SeedSequence`` from deterministic pair seeds,
-        so ``executor="thread"`` or ``"process"`` with ``n_workers=4``
-        returns results bit-identical to the serial default under the same
+        so ``executor="process"`` with ``n_workers=4`` returns results bit-identical to the serial default under the same
         ``seed``.
 
         ``significance_mode`` selects the permutation-test evaluation mode

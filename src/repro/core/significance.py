@@ -329,10 +329,10 @@ def adjacency_preservation(neighbors: list[np.ndarray], image: np.ndarray) -> fl
 #: Domain-level cache of toroidal-shift families.  §4 defines the |m| shifts
 #: as randomizations of the *spatial domain*, so one family per region graph
 #: is both faithful and fast: reusing the same permutations across function
-#: pairs is the standard formulation of a permutation test.  The lock makes
-#: the cache safe under the thread executor: parallel query map tasks over
-#: the same region graph share one deterministically-seeded family instead
-#: of racing to build (and evict) their own.
+#: pairs is the standard formulation of a permutation test.  The lock keeps
+#: the cache safe for callers that query from their own threads: concurrent
+#: queries over the same region graph share one deterministically-seeded
+#: family instead of racing to build (and evict) their own.
 _TOROIDAL_CACHE: dict[tuple, np.ndarray] = {}
 _TOROIDAL_CACHE_LIMIT = 32
 _TOROIDAL_CACHE_LOCK = threading.Lock()

@@ -58,7 +58,7 @@ from pathlib import Path
 from typing import Any
 
 from .. import obs
-from ..mapreduce.engine import LocalEngine
+from ..mapreduce.engine import EXECUTORS, LocalEngine
 from ..mapreduce.job import JobStats, MapReduceJob
 from ..utils.errors import ClusterUnavailableError, MapReduceError, ReproError
 from . import faults, protocol
@@ -129,7 +129,7 @@ AUTO_TASKS_PER_WORKER = 8
 
 #: Executors :class:`ClusterEngine` may downgrade to when the cluster is
 #: unavailable (``fallback=...``).
-FALLBACK_EXECUTORS = ("serial", "thread", "process")
+FALLBACK_EXECUTORS = EXECUTORS
 
 logger = obs.get_logger(__name__)
 
@@ -247,14 +247,12 @@ class _RunState:
         run_id: str,
         job: MapReduceJob,
         plane: ArtifactPlane,
-        streaming: bool,
         prefetch_depth: int = DEFAULT_PREFETCH_DEPTH,
         deadline: float | None = DEFAULT_TASK_DEADLINE,
     ) -> None:
         self.run_id = run_id
         self.job = job
         self.plane = plane
-        self.streaming = streaming
         self.prefetch_depth = prefetch_depth
         #: Per-task execution deadline (seconds of grant-to-result silence
         #: tolerated per worker); ``None`` disables the check.
@@ -274,8 +272,6 @@ class _RunState:
         #: results land, tag-sorted at finalization.  Insertion order of
         #: this dict is arrival order and deliberately never consulted.
         self.groups: dict[Any, list[tuple[Any, Any]]] = {}
-        #: Barrier mode (``streaming_reduce=False``): raw emitted lists.
-        self.map_raw: list[list] = []
         self.fold_seconds = 0.0
         self.map_inputs_done = 0
         self.map_seconds_done = 0.0
@@ -614,16 +610,13 @@ class Coordinator:
                 run.map_inputs_done += state.n_inputs
                 run.map_seconds_done += message.seconds
                 start = time.perf_counter()
-                if run.streaming:
-                    # Overlapped shuffle: fold this map output into the
-                    # per-key buckets now, while other map tasks still run.
-                    for tag, key, value in message.result:
-                        bucket = run.groups.get(key)
-                        if bucket is None:
-                            run.groups[key] = bucket = []
-                        bucket.append((tag, value))
-                else:
-                    run.map_raw.append(message.result)
+                # Overlapped shuffle: fold this map output into the per-key
+                # buckets now, while other map tasks still run.
+                for tag, key, value in message.result:
+                    bucket = run.groups.get(key)
+                    if bucket is None:
+                        run.groups[key] = bucket = []
+                    bucket.append((tag, value))
                 fold_delta = time.perf_counter() - start
                 run.fold_seconds += fold_delta
                 obs.record_span(
@@ -680,24 +673,18 @@ class Coordinator:
     def _seed_reduce_locked(self, run: _RunState) -> None:
         """Finalize the shuffle and enqueue reduce tasks (run.cond held).
 
-        Streaming mode sorts each bucket by tag and orders keys by their
-        minimal tag — exactly the grouping :meth:`LocalEngine.shuffle`
-        produces from the concatenated map outputs, independent of the
-        order map results arrived in.
+        Sorts each folded bucket by tag and orders keys by their minimal
+        tag — exactly the grouping :meth:`LocalEngine.shuffle` produces from
+        the concatenated map outputs, independent of the order map results
+        arrived in.
         """
         start = time.perf_counter()
-        if run.streaming:
-            entries = []
-            for key, bucket in run.groups.items():
-                bucket.sort(key=lambda tagged: tagged[0])
-                entries.append((bucket[0][0], key, [value for _, value in bucket]))
-            entries.sort(key=lambda entry: entry[0])
-            grouped = [(key, values) for _, key, values in entries]
-        else:
-            groups = LocalEngine.shuffle(
-                pair for emitted in run.map_raw for pair in emitted
-            )
-            grouped = list(groups.items())
+        entries = []
+        for key, bucket in run.groups.items():
+            bucket.sort(key=lambda tagged: tagged[0])
+            entries.append((bucket[0][0], key, [value for _, value in bucket]))
+        entries.sort(key=lambda entry: entry[0])
+        grouped = [(key, values) for _, key, values in entries]
         finalize_delta = time.perf_counter() - start
         run.fold_seconds += finalize_delta
         obs.record_span(
@@ -869,7 +856,6 @@ class Coordinator:
         run_id: str,
         granularity: int | str = "auto",
         prefetch_depth: int = DEFAULT_PREFETCH_DEPTH,
-        streaming_reduce: bool = True,
         task_deadline: float | None = DEFAULT_TASK_DEADLINE,
     ) -> tuple[list[tuple[Any, Any]], JobStats, int]:
         """Schedule one job end to end; returns (outputs, stats, retries).
@@ -892,7 +878,7 @@ class Coordinator:
             "cluster.run_job", run_id=run_id, job=type(job).__name__
         ) as run_span:
             run = self._start_run(
-                job, inputs, plane, run_id, granularity, streaming_reduce,
+                job, inputs, plane, run_id, granularity,
                 max(1, prefetch_depth), task_deadline,
             )
             run.span_id = run_span.span_id
@@ -972,16 +958,13 @@ class Coordinator:
         plane: ArtifactPlane,
         run_id: str,
         granularity: int | str,
-        streaming_reduce: bool,
         prefetch_depth: int,
         task_deadline: float | None = DEFAULT_TASK_DEADLINE,
     ) -> _RunState:
         size = self._resolve_granularity(job, len(inputs), granularity)
         indexed = list(enumerate(inputs))
         chunks = [indexed[lo : lo + size] for lo in range(0, len(indexed), size)]
-        run = _RunState(
-            run_id, job, plane, streaming_reduce, prefetch_depth, task_deadline
-        )
+        run = _RunState(run_id, job, plane, prefetch_depth, task_deadline)
         for task_id, chunk in enumerate(chunks):
             payload = dumps(("map", job, chunk), plane)
             run.tasks[task_id] = _TaskState(
@@ -1200,10 +1183,6 @@ class ClusterEngine:
         Minimum number of registered workers to wait for before the first
         dispatch.  All connected workers are used, including ones that
         join mid-run.
-    map_chunk_size:
-        Back-compat alias for ``steal_granularity`` (used only when the
-        latter is left at ``"auto"``): ``None`` → granularity 1, an int →
-        that fixed granularity, ``"auto"`` → adaptive.
     steal_granularity:
         Inputs per stealable map task.  ``"auto"`` (default) sizes tasks
         from measured per-input seconds of previous runs of the same job
@@ -1211,11 +1190,6 @@ class ClusterEngine:
     prefetch_depth:
         Tasks a worker keeps in flight: one computing, the rest
         prefetching their payload artifacts (data plane overlaps compute).
-    streaming_reduce:
-        ``True`` (default) folds map outputs into the shuffle as they land
-        and dispatches reduce tasks the moment the last map result arrives;
-        ``False`` keeps the conservative full map barrier.  Both are
-        bit-identical to serial.
     min_artifact_bytes:
         Arrays at least this large ship through the artifact data plane
         instead of the per-task pickle.
@@ -1229,7 +1203,7 @@ class ClusterEngine:
         (heartbeats alone do not count as progress).  ``None`` disables
         the deadline.
     fallback:
-        ``"serial"``/``"thread"``/``"process"`` reruns the job on that
+        ``"serial"``/``"process"`` reruns the job on that
         local executor when the cluster is *unavailable* (no workers
         registered in time, or every worker lost mid-run), logging the
         downgrade; ``None`` (default) propagates
@@ -1253,13 +1227,11 @@ class ClusterEngine:
         self,
         bind: str = DEFAULT_BIND,
         n_workers: int = 1,
-        map_chunk_size: int | str | None = "auto",
         min_artifact_bytes: int = DEFAULT_MIN_BYTES,
         connect_timeout: float = CONNECT_TIMEOUT,
         shared: bool = False,
         steal_granularity: int | str = "auto",
         prefetch_depth: int = DEFAULT_PREFETCH_DEPTH,
-        streaming_reduce: bool = True,
         task_deadline: float | None = DEFAULT_TASK_DEADLINE,
         fallback: str | None = None,
         heartbeat_interval: float = HEARTBEAT_INTERVAL,
@@ -1271,11 +1243,6 @@ class ClusterEngine:
             raise MapReduceError(
                 f"n_workers must be an integer >= 1, got {n_workers!r}"
             )
-        if map_chunk_size is not None and map_chunk_size != "auto":
-            if not isinstance(map_chunk_size, int) or map_chunk_size < 1:
-                raise MapReduceError(
-                    "map_chunk_size must be a positive int, 'auto' or None"
-                )
         if steal_granularity != "auto":
             if not isinstance(steal_granularity, int) or steal_granularity < 1:
                 raise MapReduceError(
@@ -1306,10 +1273,8 @@ class ClusterEngine:
                 "is declared lost between beats"
             )
         self.n_workers = n_workers
-        self.map_chunk_size = map_chunk_size
         self.steal_granularity = steal_granularity
         self.prefetch_depth = prefetch_depth
-        self.streaming_reduce = streaming_reduce
         self.min_artifact_bytes = min_artifact_bytes
         self.connect_timeout = connect_timeout
         self.shared = shared
@@ -1398,16 +1363,6 @@ class ClusterEngine:
             timeout if timeout is not None else self.connect_timeout,
         )
 
-    def _granularity_spec(self) -> int | str:
-        """Translate the engine's knobs into the coordinator's granularity."""
-        if self.steal_granularity != "auto":
-            return self.steal_granularity
-        if self.map_chunk_size is None:
-            return 1
-        if isinstance(self.map_chunk_size, int):
-            return self.map_chunk_size
-        return "auto"
-
     def run(
         self, job: MapReduceJob, inputs: Iterable[tuple[Any, Any]]
     ) -> tuple[list[tuple[Any, Any]], JobStats]:
@@ -1452,7 +1407,6 @@ class ClusterEngine:
             job=type(job).__name__,
             executor="cluster",
             n_workers=self.n_workers,
-            shuffle_overlapped=self.streaming_reduce and on_cluster,
             worker_tasks=dict(self.last_run_worker_tasks) if on_cluster else {},
             worker_steals=dict(self.last_run_worker_steals) if on_cluster else {},
             retries=self.last_run_retries if on_cluster else 0,
@@ -1490,9 +1444,8 @@ class ClusterEngine:
                 input_list,
                 plane,
                 run_id,
-                granularity=self._granularity_spec(),
+                granularity=self.steal_granularity,
                 prefetch_depth=self.prefetch_depth,
-                streaming_reduce=self.streaming_reduce,
                 task_deadline=self.task_deadline,
             )
         finally:
@@ -1583,7 +1536,6 @@ def spawn_local_worker(
 @contextlib.contextmanager
 def local_cluster(
     n_hosts: int,
-    map_chunk_size: int | str | None = "auto",
     min_artifact_bytes: int = DEFAULT_MIN_BYTES,
     retry_seconds: float = 30.0,
     startup_timeout: float = 60.0,
@@ -1601,7 +1553,7 @@ def local_cluster(
     ``worker_env`` optionally gives per-host environment overrides (index-
     aligned with host numbering), which the straggler tests use to slow
     one worker down.  Extra keyword arguments reach the engine (e.g.
-    ``steal_granularity=1`` or ``streaming_reduce=False``).
+    ``steal_granularity=1`` or ``prefetch_depth=1``).
 
     ``fault_plan`` (a :class:`~repro.distributed.faults.FaultPlan` or its
     string encoding) arms the fault-injection harness *everywhere*: in this
@@ -1623,7 +1575,6 @@ def local_cluster(
     engine = ClusterEngine(
         bind="127.0.0.1:0",
         n_workers=n_hosts,
-        map_chunk_size=map_chunk_size,
         min_artifact_bytes=min_artifact_bytes,
         shared=False,
         **engine_kwargs,

@@ -1,6 +1,5 @@
-"""Graph substrate: union-find and the spatio-temporal domain graph."""
+"""Graph substrate: the spatio-temporal domain graph."""
 
 from .domain_graph import DomainGraph
-from .union_find import UnionFind
 
-__all__ = ["DomainGraph", "UnionFind"]
+__all__ = ["DomainGraph"]

@@ -13,7 +13,7 @@ subsystem turns the saved index into a *maintainable* artifact:
   keep / rebuild / add / drop (rendered by ``repro update --dry-run``);
 * :mod:`.update` applies the plan: only the changed partitions'
   ``IndexPartitionJob`` tasks run — through any
-  :class:`~repro.mapreduce.job.Engine` backend (thread, process, cluster)
+  :class:`~repro.mapreduce.job.Engine` backend (serial, process, cluster)
   unchanged — then the results are spliced with the untouched partition
   files on disk and the manifest is rewritten atomically.
 

@@ -3,7 +3,7 @@
 Only the changed partitions' :class:`~repro.core.corpus.IndexPartitionJob`
 map tasks are routed through the ``Engine.run(job, inputs)`` contract — the
 same job, the same payload shape, the same engines as a from-scratch build,
-so thread, process and cluster executors all work unchanged.  Untouched
+so serial, process and cluster executors all work unchanged.  Untouched
 partitions are spliced in by hard link (falling back to copy on filesystems
 without link support): their bytes are never read, never rewritten, and a
 kept file keeps its inode and mtime — which is how tests *prove* reuse.

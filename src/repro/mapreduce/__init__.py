@@ -7,7 +7,6 @@ behind the same :class:`Engine` contract via ``executor="cluster"``.
 from .cluster import (
     greedy_makespan,
     job_makespan,
-    overlapped_makespan,
     speedup_curve,
     straggler_ratio,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "MapReduceJob",
     "greedy_makespan",
     "job_makespan",
-    "overlapped_makespan",
     "speedup_curve",
     "straggler_ratio",
     "PolygamyPipeline",

@@ -53,12 +53,12 @@ def job_makespan(stats: JobStats, n_nodes: int) -> float:
 
     The model is a hard barrier *between the two waves*: no reduce task is
     scheduled until the slowest map task has finished, and the shuffle runs
-    serially on the coordinator in between — so the three terms simply add.
-    This matches the local engine's pools and the distributed coordinator's
-    ``streaming_reduce=False`` mode; it is the conservative replay for
-    Fig. 10 (it can only understate, never overstate, cluster speedup).
-    The coordinator's *default* scheduler overlaps the shuffle with the map
-    wave — :func:`overlapped_makespan` models that one.
+    serially in between — so the three terms simply add.  This matches the
+    local engine's process pool; it is the conservative replay for Fig. 10
+    (it can only understate, never overstate, cluster speedup).  The
+    distributed coordinator folds the shuffle into the map wave instead;
+    the shuffle is so small next to the task waves that the difference does
+    not show in the Fig. 10 curves.
     """
     return (
         greedy_makespan(stats.map_task_seconds, n_nodes)
@@ -67,40 +67,13 @@ def job_makespan(stats: JobStats, n_nodes: int) -> float:
     )
 
 
-def overlapped_makespan(stats: JobStats, n_nodes: int) -> float:
-    """Makespan under the streaming scheduler's overlapped shuffle.
-
-    Models the v2 coordinator's default mode: each map result is folded
-    into the shuffle *while later map tasks still run*, so by the time the
-    last map task lands the shuffle is already done and reduce tasks
-    dispatch immediately.  The fold's cost therefore hides behind the map
-    wave — except the part that folds the *last* map result, which nothing
-    can overlap.  We charge that tail as the fold time amortized over map
-    tasks (one task's share); with no map tasks the whole shuffle is the
-    tail.  The two greedy waves still add: reduce work cannot start before
-    the final map output exists (any map task may emit any key, so no
-    grouping is final until the map phase is).
-    """
-    n_map = len(stats.map_task_seconds)
-    fold_tail = stats.shuffle_seconds / n_map if n_map else stats.shuffle_seconds
-    return (
-        greedy_makespan(stats.map_task_seconds, n_nodes)
-        + fold_tail
-        + greedy_makespan(stats.reduce_task_seconds, n_nodes)
-    )
-
-
-def speedup_curve(
-    stats: JobStats, node_counts: list[int], makespan=job_makespan
-) -> dict[int, float]:
+def speedup_curve(stats: JobStats, node_counts: list[int]) -> dict[int, float]:
     """Speedup (T1 / Tn) of one job for each cluster size.
 
     The public helper behind the Fig. 10 benchmark (simulated curves) and
     the measured-vs-simulated comparison of the cluster backend.  T1 is the
     scheduled makespan on a single node (= sequential task time plus
-    shuffle), Tn the makespan on n nodes.  ``makespan`` selects the
-    scheduler model: :func:`job_makespan` (barrier, the default) or
-    :func:`overlapped_makespan` (the streaming scheduler).
+    shuffle), Tn the :func:`job_makespan` on n nodes.
 
     Edge cases are defined, not NaN: a zero-duration workload (no tasks, or
     all tasks measuring 0.0s) reports a speedup of exactly 1.0 for every
@@ -108,10 +81,10 @@ def speedup_curve(
     asserting on curves must not trip over division by zero.  More nodes
     than tasks is fine (extra nodes idle; the curve plateaus).
     """
-    t1 = makespan(stats, 1)
+    t1 = job_makespan(stats, 1)
     curve: dict[int, float] = {}
     for n in node_counts:
-        tn = makespan(stats, n)
+        tn = job_makespan(stats, n)
         curve[n] = t1 / tn if tn > 0 else 1.0
     return curve
 

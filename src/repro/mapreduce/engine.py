@@ -1,13 +1,10 @@
 """Local map-reduce engine (the Hadoop substitute of §5.4 / Appendix C).
 
 Executes :class:`~repro.mapreduce.job.MapReduceJob` instances in process.
-Three executors are provided:
+Two executors are provided:
 
 * ``"serial"`` — tasks run one after another (deterministic; per-task wall
   times are recorded so the simulated-cluster scheduler can replay them).
-* ``"thread"`` — map and reduce tasks run on a thread pool.  Overlap is real
-  wherever the heavy lifting happens inside NumPy (which releases the GIL);
-  pure-Python task bodies stay serialized by the interpreter lock.
 * ``"process"`` — tasks run on a :class:`~concurrent.futures.ProcessPoolExecutor`.
   Each worker is a separate interpreter, so pure-Python work (the merge-tree
   sweep dominating feature identification) parallelizes too.  Task payloads
@@ -20,20 +17,20 @@ Determinism.  Every intermediate pair is tagged with its provenance
 tag, so grouped values (and therefore reduce outputs) are identical no
 matter how map tasks were scheduled, on which worker they ran, or in which
 order their results arrived.  This is what lets :class:`repro.core.Corpus`
-promise bit-identical serial, threaded and process-parallel indexes/queries.
+promise bit-identical serial and process-parallel indexes/queries.
 
 Chunked map partitions.  One pool task per map input is wasteful when a job
 has many tiny inputs (dispatch dominates).  ``map_chunk_size`` groups
 consecutive inputs into one schedulable task: pass an ``int``, or ``"auto"``
-to size chunks per executor (see :func:`auto_chunk_size` — process workers
-get larger chunks, amortizing the per-task pickle/IPC round trip that
-threads do not pay).  The shuffle groups intermediate pairs by key with a
-plain dictionary — the in-process analogue of Hadoop's sort/partition phase.
+to size chunks for the pool (see :func:`auto_chunk_size`, which amortizes
+the per-task pickle/IPC round trip).  The shuffle groups intermediate pairs
+by key with a plain dictionary — the in-process analogue of Hadoop's
+sort/partition phase.
 
 Environment defaults.  :func:`default_engine` resolves unset knobs from
 ``REPRO_EXECUTOR`` / ``REPRO_WORKERS``, which is how CI re-runs whole test
 suites under the process executor without touching a single call site.  A
-fourth executor, ``"cluster"``, lives outside this module: it resolves to
+third executor, ``"cluster"``, lives outside this module: it resolves to
 :class:`repro.distributed.ClusterEngine` (real multi-host workers over TCP,
 ``REPRO_CLUSTER`` names the coordinator address) behind the same
 ``run(job, inputs)`` contract.
@@ -49,7 +46,7 @@ import sys
 import time
 import traceback
 from collections.abc import Hashable, Iterable
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any
 
@@ -59,9 +56,9 @@ from . import shm
 from .job import JobStats, MapReduceJob
 
 #: The executors :class:`LocalEngine` itself runs, in documentation order.
-EXECUTORS = ("serial", "thread", "process")
+EXECUTORS = ("serial", "process")
 
-#: Every executor :func:`default_engine` can build — the local three plus
+#: Every executor :func:`default_engine` can build — the local two plus
 #: the distributed backend (``executor="cluster"`` returns a
 #: :class:`repro.distributed.ClusterEngine` behind the same contract).
 ALL_EXECUTORS = EXECUTORS + ("cluster",)
@@ -82,14 +79,11 @@ def _start_method() -> str:
 
 
 #: ``"auto"`` chunking targets this many map tasks per worker: enough tasks
-#: to keep the pool busy (work stealing across uneven tasks) without
-#: per-input dispatch.  Process workers get fewer, larger chunks because
-#: every task also pays a pickle/IPC round trip; cluster workers pay the
-#: same pickle cost plus a socket hop, so they match the process sizing.
+#: to keep the pool busy across uneven tasks, few enough that the per-task
+#: pickle/IPC round trip (plus a socket hop on a cluster) stays amortized.
 #: (The cluster engine's own ``steal_granularity="auto"`` goes further and
-#: sizes tasks from *measured* per-input seconds; this table is the local
-#: pools' static heuristic and the cluster's pre-measurement fallback shape.)
-_AUTO_TASKS_PER_WORKER = {"thread": 4, "process": 2, "cluster": 2}
+#: sizes tasks from *measured* per-input seconds.)
+_AUTO_TASKS_PER_WORKER = 2
 
 #: A tagged intermediate pair: ((input_index, emit_index), key, value).
 TaggedPair = tuple[tuple[int, int], Hashable, Any]
@@ -98,12 +92,11 @@ TaggedPair = tuple[tuple[int, int], Hashable, Any]
 def auto_chunk_size(n_inputs: int, n_workers: int, executor: str) -> int:
     """Map-chunk size chosen by ``map_chunk_size="auto"``.
 
-    ``ceil(n_inputs / (n_workers * tasks_per_worker))`` with a per-executor
-    ``tasks_per_worker``: 4 for threads (dispatch is cheap, favor work
-    stealing) and 2 for processes and cluster hosts (every task ships its
-    payload through pickle/IPC or a socket, favor amortization).  Serial
-    execution keeps one input per task so per-task timings stay maximally
-    informative for the simulated-cluster replay.
+    ``ceil(n_inputs / (n_workers * _AUTO_TASKS_PER_WORKER))`` for the
+    process and cluster executors, whose every task ships its payload
+    through pickle/IPC or a socket.  Serial execution keeps one input per
+    task so per-task timings stay maximally informative for the
+    simulated-cluster replay.
     """
     if executor not in ALL_EXECUTORS:
         raise MapReduceError(
@@ -112,8 +105,7 @@ def auto_chunk_size(n_inputs: int, n_workers: int, executor: str) -> int:
         )
     if executor == "serial" or n_workers <= 1 or n_inputs <= 0:
         return 1
-    per_worker = _AUTO_TASKS_PER_WORKER[executor]
-    return max(1, math.ceil(n_inputs / (n_workers * per_worker)))
+    return max(1, math.ceil(n_inputs / (n_workers * _AUTO_TASKS_PER_WORKER)))
 
 
 def default_engine(
@@ -140,7 +132,7 @@ def default_engine(
     :class:`repro.distributed.ClusterEngine` whose coordinator binds the
     ``$REPRO_CLUSTER`` address (default ``127.0.0.1:7077``) — the same
     ``run(job, inputs)`` contract, executed by ``repro worker`` daemons.
-    ``$REPRO_FALLBACK`` (``serial``/``thread``/``process``) arms graceful
+    ``$REPRO_FALLBACK`` (``serial``/``process``) arms graceful
     degradation: when the cluster is unavailable (workers never registered,
     or all lost mid-run) the job reruns on that local executor instead of
     failing, with the downgrade logged.
@@ -177,19 +169,14 @@ def default_engine(
 
         parse_address(bind, variable="REPRO_CLUSTER")  # validate up front
         raw_fallback = os.environ.get("REPRO_FALLBACK") or None
-        if raw_fallback is not None and raw_fallback not in (
-            "serial",
-            "thread",
-            "process",
-        ):
+        if raw_fallback is not None and raw_fallback not in EXECUTORS:
             raise MapReduceError(
-                "REPRO_FALLBACK must be one of serial, thread, process "
+                f"REPRO_FALLBACK must be one of {', '.join(EXECUTORS)} "
                 f"(or unset); got {raw_fallback!r}"
             )
         return ClusterEngine(
             bind=bind,
             n_workers=n_workers,
-            map_chunk_size=map_chunk_size,
             shared=True,
             fallback=raw_fallback,
         )
@@ -246,18 +233,17 @@ class LocalEngine:
     Parameters
     ----------
     n_workers:
-        Pool width for the ``"thread"`` and ``"process"`` executors (ignored
-        by ``"serial"``).
+        Pool width for the ``"process"`` executor (ignored by ``"serial"``).
     executor:
-        ``"serial"`` (default), ``"thread"`` or ``"process"``.
+        ``"serial"`` (default) or ``"process"``.
     map_chunk_size:
         Number of consecutive map inputs grouped into one schedulable task.
         ``None`` (default) keeps one task per input; ``"auto"`` sizes chunks
-        per executor via :func:`auto_chunk_size`.
+        for the pool via :func:`auto_chunk_size`.
     shm_min_bytes:
         Arrays at least this large are shipped to process workers through
         the shared-memory plane instead of per-task pickling (ignored by
-        the in-process executors, which share objects by reference).
+        the serial executor, which shares objects by reference).
     """
 
     def __init__(
@@ -298,8 +284,8 @@ class LocalEngine:
 
     @property
     def is_parallel(self) -> bool:
-        """True when tasks actually run on a thread or process pool."""
-        return self.executor in ("thread", "process") and self.n_workers > 1
+        """True when tasks actually run on a process pool."""
+        return self.executor == "process" and self.n_workers > 1
 
     def _resolve_chunk_size(self, n_inputs: int) -> int:
         if self.map_chunk_size is None:
@@ -355,24 +341,16 @@ class LocalEngine:
         ]
         stats.n_map_chunks = len(chunks)
 
-        if self.executor == "process" and self.is_parallel:
+        if self.is_parallel:
             return self._run_process(job, chunks, stats, run_span_id)
 
         # -- map phase -------------------------------------------------------
-        if self.is_parallel:
-            map_results = self._run_thread_tasks(
-                [(_map_chunk, job, chunk) for chunk in chunks],
-                stats.map_task_seconds,
-                span_name="map.task",
-                span_parent=run_span_id,
-            )
-        else:
-            map_results = []
-            for chunk in chunks:
-                with obs.span("map.task", n_inputs=len(chunk)):
-                    start = time.perf_counter()
-                    map_results.append(_map_chunk(job, chunk))
-                    stats.map_task_seconds.append(time.perf_counter() - start)
+        map_results = []
+        for chunk in chunks:
+            with obs.span("map.task", n_inputs=len(chunk)):
+                start = time.perf_counter()
+                map_results.append(_map_chunk(job, chunk))
+                stats.map_task_seconds.append(time.perf_counter() - start)
 
         # -- shuffle -----------------------------------------------------------
         with obs.span("engine.shuffle"):
@@ -383,24 +361,13 @@ class LocalEngine:
             stats.shuffle_seconds = time.perf_counter() - start
 
         # -- reduce phase ------------------------------------------------------
-        items = list(groups.items())
-        if self.is_parallel:
-            reduce_results = self._run_thread_tasks(
-                [(job.reduce, k, vs) for k, vs in items],
-                stats.reduce_task_seconds,
-                span_name="reduce.task",
-                span_parent=run_span_id,
-            )
-        else:
-            reduce_results = []
-            for k, vs in items:
-                with obs.span("reduce.task"):
-                    start = time.perf_counter()
-                    emitted = list(job.reduce(k, vs))
-                    stats.reduce_task_seconds.append(
-                        time.perf_counter() - start
-                    )
-                    reduce_results.append(emitted)
+        reduce_results = []
+        for k, vs in groups.items():
+            with obs.span("reduce.task"):
+                start = time.perf_counter()
+                emitted = list(job.reduce(k, vs))
+                stats.reduce_task_seconds.append(time.perf_counter() - start)
+                reduce_results.append(emitted)
 
         outputs = [pair for emitted in reduce_results for pair in emitted]
         stats.n_outputs = len(outputs)
@@ -420,37 +387,6 @@ class LocalEngine:
         for _tag, key, value in ordered:
             groups.setdefault(key, []).append(value)
         return groups
-
-    # -- thread executor -----------------------------------------------------
-
-    def _run_thread_tasks(
-        self,
-        tasks: list[tuple],
-        timings: list[float],
-        span_name: str = "task",
-        span_parent: int | None = None,
-    ) -> list[list]:
-        """Run ``(fn, *args)`` tasks on the thread pool, recording times.
-
-        Per-task spans carry an explicit ``span_parent`` (the run span's id):
-        pool threads have no span stack of their own, so thread-local nesting
-        cannot resolve the parent for them.
-        """
-
-        def timed_call(task: tuple) -> tuple[list, float]:
-            fn, *args = task
-            with obs.span(span_name, parent=span_parent):
-                start = time.perf_counter()
-                out = list(fn(*args))
-                return out, time.perf_counter() - start
-
-        with ThreadPoolExecutor(max_workers=self.n_workers) as pool:
-            results = list(pool.map(timed_call, tasks))
-        outputs = []
-        for out, seconds in results:
-            outputs.append(out)
-            timings.append(seconds)
-        return outputs
 
     # -- process executor ----------------------------------------------------
 
@@ -534,8 +470,8 @@ class LocalEngine:
                     _status, remote_tb, original = result
                     if isinstance(original, ReproError):
                         # Library errors keep their type and message —
-                        # serial, thread and process execution all raise the
-                        # same exception; the worker traceback rides along
+                        # serial and process execution raise the same
+                        # exception; the worker traceback rides along
                         # as the cause.
                         raise original from MapReduceError(
                             f"raised in a {phase} worker process; original "

@@ -30,7 +30,7 @@ class MapReduceJob(ABC):
 class Engine(Protocol):
     """The engine contract every backend implements.
 
-    :class:`repro.mapreduce.engine.LocalEngine` (serial / thread / process)
+    :class:`repro.mapreduce.engine.LocalEngine` (serial / process)
     and :class:`repro.distributed.ClusterEngine` (multi-host over TCP) are
     interchangeable behind this protocol: ``run`` executes one job over its
     inputs and returns ``(outputs, stats)``, bit-identically for a

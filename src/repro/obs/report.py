@@ -54,9 +54,6 @@ class RunReport:
     reduce_seconds: float = 0.0
     shuffle_seconds: float = 0.0
     wall_seconds: float = 0.0
-    #: Cluster runs fold the shuffle into map-result arrival (overlapped);
-    #: local runs run it as a phase between map and reduce.
-    shuffle_overlapped: bool = False
     #: Cluster only: tasks completed per worker id.
     worker_tasks: dict[str, int] = field(default_factory=dict)
     #: Cluster only: steal requests granted per worker id.
@@ -117,7 +114,11 @@ class RunReport:
 
     def render(self) -> str:
         """The pretty text report (``repro stats`` output)."""
-        shuffle_note = " (overlapped fold)" if self.shuffle_overlapped else ""
+        # Cluster runs fold the shuffle into map-result arrival; local runs
+        # (and cluster runs degraded to a local fallback) run it as a phase
+        # between map and reduce.
+        overlapped = self.executor == "cluster" and not self.fallback
+        shuffle_note = " (overlapped fold)" if overlapped else ""
         lines = [
             f"run report — {self.job or 'job'} on {self.executor or '?'} "
             f"({self.n_workers} worker(s))",

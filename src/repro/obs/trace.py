@@ -7,7 +7,7 @@ module-level :func:`span` context manager (and :func:`record_span` /
 :func:`add_span` for intervals measured elsewhere, e.g. shipped back from a
 cluster worker):
 
-    with span("engine.run", executor="thread") as s:
+    with span("engine.run", executor="process") as s:
         ...
 
 Inert by default, same discipline as :mod:`repro.distributed.faults`: with

@@ -13,7 +13,7 @@ was built in the first place:
   scratch.
 
 A loaded index therefore answers queries **bit-identically** to the freshly
-built index it was saved from, under serial and threaded execution alike:
+built index it was saved from, under serial and parallel execution alike:
 data set order, per-resolution function order, value matrices, feature
 masks, and the extractor configuration are all preserved, and per-pair RNG
 seeds depend only on those.

@@ -1,4 +1,4 @@
-"""Shared utilities: bit vectors, RNG plumbing, timers, and errors."""
+"""Shared utilities: bit vectors, RNG plumbing, and errors."""
 
 from .bitvector import BitVector
 from .errors import (
@@ -12,7 +12,6 @@ from .errors import (
     TopologyError,
 )
 from .rng import RngLike, ensure_rng, spawn
-from .timer import Timer, timed
 
 __all__ = [
     "BitVector",
@@ -27,6 +26,4 @@ __all__ = [
     "RngLike",
     "ensure_rng",
     "spawn",
-    "Timer",
-    "timed",
 ]

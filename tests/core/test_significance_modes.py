@@ -266,7 +266,7 @@ class TestQueryModesAcrossExecutors:
     def index(self):
         return small_corpus().build_index(temporal=(TemporalResolution.HOUR,))
 
-    @pytest.fixture(params=("thread", "process", "cluster"))
+    @pytest.fixture(params=("process", "cluster"))
     def parallel_kwargs(self, request):
         if request.param == "cluster":
             return {"engine": request.getfixturevalue("cluster_engine")}

@@ -225,18 +225,22 @@ class TestGracefulDegradation:
         assert outputs == expected
         assert fallback is not None and "died" in fallback
 
-    def test_fallback_name_is_validated(self):
-        with pytest.raises(MapReduceError, match="serial, thread, process"):
-            ClusterEngine(bind="127.0.0.1:0", fallback="gpu")
+    @pytest.mark.parametrize("name", ["gpu", "thread"])
+    def test_fallback_name_is_validated(self, name):
+        with pytest.raises(MapReduceError, match="serial, process or None"):
+            ClusterEngine(bind="127.0.0.1:0", fallback=name)
 
     def test_repro_fallback_env_plumbs_through(self, monkeypatch):
         monkeypatch.setenv("REPRO_EXECUTOR", "cluster")
         monkeypatch.setenv("REPRO_CLUSTER", "127.0.0.1:7219")
         monkeypatch.setenv("REPRO_FALLBACK", "process")
         assert default_engine().fallback == "process"
-        monkeypatch.setenv("REPRO_FALLBACK", "gpu")
-        with pytest.raises(MapReduceError, match="REPRO_FALLBACK"):
-            default_engine()
+        for name in ("gpu", "thread"):
+            monkeypatch.setenv("REPRO_FALLBACK", name)
+            with pytest.raises(
+                MapReduceError, match="REPRO_FALLBACK must be one of serial, process"
+            ):
+                default_engine()
 
 
 HOUR = 3600

@@ -93,15 +93,15 @@ class TestClusterEquivalence:
         assert len(stats.reduce_task_seconds) == len(dict(serial))
         assert stats.n_outputs == len(serial)
 
-    @pytest.mark.parametrize("chunk", [None, 2, "auto"])
-    def test_order_sensitive_reduce_is_stable(self, engine, chunk):
+    @pytest.mark.parametrize("granularity", [1, 2, "auto"])
+    def test_order_sensitive_reduce_is_stable(self, engine, granularity):
         inputs = [(k, list(range(k + 1))) for k in range(10)]
         serial, _ = LocalEngine().run(OrderSensitiveJob(), inputs)
-        engine.map_chunk_size = chunk
+        engine.steal_granularity = granularity
         try:
             clustered, _ = engine.run(OrderSensitiveJob(), inputs)
         finally:
-            engine.map_chunk_size = "auto"
+            engine.steal_granularity = "auto"
         assert clustered == serial
 
     def test_large_arrays_travel_through_the_plane(self, engine):
@@ -212,7 +212,7 @@ class TestEngineValidationAndPlumbing:
         with pytest.raises(MapReduceError):
             ClusterEngine(n_workers=0)
         with pytest.raises(MapReduceError):
-            ClusterEngine(map_chunk_size="huge")
+            ClusterEngine(steal_granularity="huge")
         with pytest.raises(MapReduceError):
             ClusterEngine(min_artifact_bytes=0)
 
@@ -238,15 +238,16 @@ class TestEngineValidationAndPlumbing:
         assert isinstance(engine, ClusterEngine)
         assert engine.n_workers == 2
 
-    def test_invalid_repro_executor_names_variable_and_values(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTOR", "gpu")
+    @pytest.mark.parametrize("bad", ["gpu", "thread"])
+    def test_invalid_repro_executor_names_variable_and_values(
+        self, monkeypatch, bad
+    ):
+        monkeypatch.setenv("REPRO_EXECUTOR", bad)
         with pytest.raises(MapReduceError) as excinfo:
             default_engine()
         message = str(excinfo.value)
-        assert "REPRO_EXECUTOR" in message
-        for name in ("serial", "thread", "process", "cluster"):
-            assert name in message
-        assert "gpu" in message
+        assert "REPRO_EXECUTOR must be one of serial, process, cluster" in message
+        assert repr(bad) in message
 
     @pytest.mark.parametrize("bad", ["0", "-3", "many", "1.5"])
     def test_invalid_repro_workers_names_variable(self, monkeypatch, bad):

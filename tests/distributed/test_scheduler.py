@@ -9,7 +9,7 @@ cluster:
   immediately and steals real work.
 * **Overlapped-reduce determinism** — map results land in scrambled orders
   (randomized per-input sleeps, fine steal granularity), and outputs stay
-  bit-identical to serial, run after run, with streaming reduce on or off.
+  bit-identical to serial, run after run, at every steal granularity.
 * **Adaptive granularity** — a second run of the same job class sizes its
   tasks from the first run's measured throughput.
 
@@ -156,23 +156,13 @@ class TestOverlapDeterminism:
     def test_determinism_across_steal_granularities(self, granularity):
         inputs = [(i, i) for i in range(17)]
         job = ScrambledSleepJob()
+        serial_outputs, serial_stats = LocalEngine().run(job, inputs)
         with local_cluster(2, steal_granularity=granularity) as engine:
-            outputs, _ = engine.run(job, inputs)
-        assert outputs == _serial(job, inputs)
-
-    def test_streaming_reduce_off_matches_streaming_on(self):
-        inputs = [(i, i) for i in range(18)]
-        job = ScrambledSleepJob()
-        expected = _serial(job, inputs)
-        with local_cluster(2, streaming_reduce=False, steal_granularity=1) as engine:
-            barrier_outputs, barrier_stats = engine.run(job, inputs)
-        with local_cluster(2, streaming_reduce=True, steal_granularity=1) as engine:
-            streaming_outputs, streaming_stats = engine.run(job, inputs)
-        assert barrier_outputs == expected
-        assert streaming_outputs == expected
-        # Same task structure either way: one reduce task per group.
-        assert len(barrier_stats.reduce_task_seconds) == len(
-            streaming_stats.reduce_task_seconds
+            outputs, stats = engine.run(job, inputs)
+        assert outputs == serial_outputs
+        # Same task structure as the serial shuffle: one reduce task per group.
+        assert len(stats.reduce_task_seconds) == len(
+            serial_stats.reduce_task_seconds
         )
 
 
@@ -180,7 +170,7 @@ class TestAdaptiveGranularity:
     def test_second_run_resizes_tasks_from_measured_throughput(self):
         inputs = [(i, 1) for i in range(32)]
         job = FixedSleepJob()
-        with local_cluster(2) as engine:  # map_chunk_size defaults to "auto"
+        with local_cluster(2) as engine:  # steal_granularity defaults to "auto"
             _, first = engine.run(job, inputs)
             outputs, second = engine.run(job, inputs)
         assert outputs == _serial(job, inputs)
@@ -214,8 +204,6 @@ class TestKnobValidation:
             bind="127.0.0.1:0",
             steal_granularity=4,
             prefetch_depth=3,
-            streaming_reduce=False,
         )
         assert engine.steal_granularity == 4
         assert engine.prefetch_depth == 3
-        assert engine.streaming_reduce is False

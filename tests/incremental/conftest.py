@@ -67,12 +67,12 @@ def index_copy(base_index_dir, tmp_path):
     return target
 
 
-@pytest.fixture(params=["thread", "process", "cluster"])
+@pytest.fixture(params=["process", "cluster"])
 def update_engine(request):
     """Engines the applier must behave identically on.
 
     The cluster case reuses the session-scoped 2-host localhost cluster;
-    ``getfixturevalue`` keeps it lazy so thread/process runs never spawn
+    ``getfixturevalue`` keeps it lazy so process runs never spawn
     workers.
     """
     if request.param == "cluster":

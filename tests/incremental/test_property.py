@@ -4,8 +4,8 @@ Property: for randomized catalog mutations — append days to a data set, add
 a data set, drop a data set, change the extractor config — ``repro
 update`` produces an index **bit-identical** to a from-scratch
 ``build_index`` + ``save`` of the mutated catalog (partition bytes exactly;
-manifest up to wall-clock timings; query results exactly), on the thread,
-process and cluster executors alike.  Unchanged partitions are *proven*
+manifest up to wall-clock timings; query results exactly), on the process
+and cluster executors alike.  Unchanged partitions are *proven*
 untouched: their reuse is counted in the ``UpdateReport`` and their NPZ
 files keep inode and mtime through the update.
 """

@@ -40,10 +40,12 @@ class TestEngine:
         assert len(stats.map_task_seconds) == 3
         assert len(stats.reduce_task_seconds) == len(counts)
 
-    def test_wordcount_threaded_matches_serial(self):
+    def test_wordcount_process_matches_serial(self):
         serial, _ = LocalEngine().run(WordCount(), DOCS)
-        threaded, _ = LocalEngine(n_workers=4, executor="thread").run(WordCount(), DOCS)
-        assert dict(serial) == dict(threaded)
+        parallel, _ = LocalEngine(n_workers=4, executor="process").run(
+            WordCount(), DOCS
+        )
+        assert dict(serial) == dict(parallel)
 
     def test_unknown_executor_rejected(self):
         with pytest.raises(MapReduceError):

@@ -1,7 +1,7 @@
 """Parallel/serial equivalence of the map-reduce-backed core pipeline.
 
 The contract under test: ``Corpus.build_index`` and ``CorpusIndex.query``
-with ``executor="thread"``/``"process"`` (``n_workers=4``) or
+with ``executor="process"`` (``n_workers=4``) or
 ``executor="cluster"`` (a real 2-host localhost cluster) must produce
 **bit-identical** results to the serial path under a fixed seed, and the
 engine's shuffle must be deterministic no matter in which order
@@ -109,14 +109,14 @@ def assert_query_results_identical(r1, r2):
 #: The parallel backends every equivalence test runs against.  "cluster"
 #: resolves to the session-scoped 2-host localhost cluster (real worker
 #: processes over TCP, see tests/conftest.py).
-PARALLEL_EXECUTORS = ("thread", "process", "cluster")
+PARALLEL_EXECUTORS = ("process", "cluster")
 
 
 @pytest.fixture(params=PARALLEL_EXECUTORS)
 def parallel_kwargs(request):
     """Engine kwargs for one parallel backend.
 
-    Thread/process engines are built per call from the simple knobs; the
+    Process engines are built per call from the simple knobs; the
     cluster executor needs live workers, so it passes the shared
     ``cluster_engine`` explicitly (lazily instantiated on first use).
     """
@@ -180,12 +180,12 @@ class TestCorpusParallelEquivalence:
             n_permutations=40,
             seed=np.random.default_rng(11),
             n_workers=4,
-            executor="thread",
+            executor="process",
         )
         assert_query_results_identical(serial, parallel)
 
     def test_explicit_engine_override(self, serial_index):
-        engine = LocalEngine(n_workers=2, executor="thread", map_chunk_size=3)
+        engine = LocalEngine(n_workers=2, executor="process", map_chunk_size=3)
         serial = serial_index.query(n_permutations=40, seed=0)
         parallel = serial_index.query(n_permutations=40, seed=0, engine=engine)
         assert_query_results_identical(serial, parallel)
@@ -201,7 +201,7 @@ class TestCorpusParallelEquivalence:
 
     def test_query_job_stats_exposed(self, serial_index):
         result = serial_index.query(
-            n_permutations=20, seed=0, n_workers=2, executor="thread"
+            n_permutations=20, seed=0, n_workers=2, executor="process"
         )
         assert result.job_stats is not None
         assert result.job_stats.n_map_chunks >= 1
@@ -242,14 +242,14 @@ class TestEngineDeterminism:
         serial, _ = LocalEngine().run(PartialSumJob(), inputs)
         for n_workers in (2, 4):
             for chunk in (None, 2, "auto"):
-                threaded, _ = LocalEngine(
-                    n_workers=n_workers, executor="thread", map_chunk_size=chunk
+                parallel, _ = LocalEngine(
+                    n_workers=n_workers, executor="process", map_chunk_size=chunk
                 ).run(PartialSumJob(), inputs)
-                assert threaded == serial
+                assert parallel == serial
 
     def test_chunked_map_partitions(self):
         inputs = [(k, [k]) for k in range(10)]
-        engine = LocalEngine(n_workers=2, executor="thread", map_chunk_size=4)
+        engine = LocalEngine(n_workers=2, executor="process", map_chunk_size=4)
         outputs, stats = engine.run(PartialSumJob(), inputs)
         assert stats.n_map_chunks == 3  # ceil(10 / 4)
         assert len(stats.map_task_seconds) == 3
@@ -259,10 +259,10 @@ class TestEngineDeterminism:
 
     def test_auto_chunking_scales_with_workers(self):
         inputs = [(k, [k]) for k in range(64)]
-        engine = LocalEngine(n_workers=4, executor="thread", map_chunk_size="auto")
+        engine = LocalEngine(n_workers=4, executor="process", map_chunk_size="auto")
         _, stats = engine.run(PartialSumJob(), inputs)
-        # ceil(64 / (4 workers * 4 tasks-per-worker)) = 4 inputs per chunk.
-        assert stats.n_map_chunks == 16
+        # ceil(64 / (4 workers * 2 tasks-per-worker)) = 8 inputs per chunk.
+        assert stats.n_map_chunks == 8
         serial = LocalEngine(map_chunk_size="auto")
         _, serial_stats = serial.run(PartialSumJob(), inputs)
         assert serial_stats.n_map_chunks == 64  # auto is a no-op when serial

@@ -85,7 +85,7 @@ class TestEndToEndPipeline:
     def test_pipeline_produces_reports(self, small_collection):
         pipeline = PolygamyPipeline(
             small_collection.city,
-            engine=LocalEngine(n_workers=2, executor="thread"),
+            engine=LocalEngine(n_workers=2, executor="process"),
             chunks_per_dataset=2,
         )
         run = pipeline.run(

@@ -254,13 +254,13 @@ class TestCrashContainment:
 
 
 class TestEngineValidation:
-    def test_unknown_executor_message_lists_valid_ones(self):
+    @pytest.mark.parametrize("bad", ["gpu", "thread"])
+    def test_unknown_executor_message_lists_valid_ones(self, bad):
         with pytest.raises(MapReduceError) as excinfo:
-            LocalEngine(executor="gpu")
+            LocalEngine(executor=bad)
         message = str(excinfo.value)
-        for name in ("serial", "thread", "process"):
-            assert name in message
-        assert "gpu" in message
+        assert "valid executors: serial, process" in message
+        assert repr(bad) in message
 
     @pytest.mark.parametrize("bad", [0, -3, 1.5, "4"])
     def test_bad_worker_count_message(self, bad):
@@ -276,10 +276,6 @@ class TestEngineValidation:
 
 
 class TestAutoChunkSize:
-    def test_thread_targets_four_tasks_per_worker(self):
-        assert auto_chunk_size(64, 4, "thread") == 4  # 16 tasks for 4 workers
-        assert auto_chunk_size(17, 4, "thread") == 2
-
     def test_process_targets_two_tasks_per_worker(self):
         # Larger chunks amortize the per-task pickle/IPC round trip.
         assert auto_chunk_size(64, 4, "process") == 8
@@ -293,20 +289,10 @@ class TestAutoChunkSize:
     def test_never_below_one(self):
         assert auto_chunk_size(1, 16, "process") == 1
 
-    def test_unknown_executor_rejected(self):
-        with pytest.raises(MapReduceError):
-            auto_chunk_size(10, 2, "gpu")
-
-    def test_engine_resolves_auto_per_executor(self):
-        inputs = [(k, [k]) for k in range(64)]
-        _, thread_stats = LocalEngine(
-            n_workers=4, executor="thread", map_chunk_size="auto"
-        ).run(OrderSensitiveJob(), inputs)
-        _, proc_stats = LocalEngine(
-            n_workers=4, executor="process", map_chunk_size="auto"
-        ).run(OrderSensitiveJob(), inputs)
-        assert thread_stats.n_map_chunks == 16
-        assert proc_stats.n_map_chunks == 8
+    @pytest.mark.parametrize("bad", ["gpu", "thread"])
+    def test_unknown_executor_rejected(self, bad):
+        with pytest.raises(MapReduceError, match="serial, process, cluster"):
+            auto_chunk_size(10, 2, bad)
 
 
 class TestDefaultEngine:
@@ -326,13 +312,14 @@ class TestDefaultEngine:
     def test_explicit_arguments_beat_environment(self, monkeypatch):
         monkeypatch.setenv("REPRO_EXECUTOR", "process")
         monkeypatch.setenv("REPRO_WORKERS", "4")
-        engine = default_engine(n_workers=2, executor="thread")
-        assert (engine.executor, engine.n_workers) == ("thread", 2)
+        engine = default_engine(n_workers=2, executor="serial")
+        assert (engine.executor, engine.n_workers) == ("serial", 2)
 
     def test_invalid_environment_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTOR", "gpu")
-        with pytest.raises(MapReduceError):
-            default_engine()
+        for bad in ("gpu", "thread"):
+            monkeypatch.setenv("REPRO_EXECUTOR", bad)
+            with pytest.raises(MapReduceError, match="serial, process, cluster"):
+                default_engine()
         monkeypatch.setenv("REPRO_EXECUTOR", "serial")
         monkeypatch.setenv("REPRO_WORKERS", "many")
         with pytest.raises(MapReduceError) as excinfo:

@@ -18,10 +18,12 @@ def make_stats() -> JobStats:
 
 def test_from_stats_copies_the_right_fields():
     report = RunReport.from_stats(
-        make_stats(), job="WordCount", executor="thread", n_workers=4
+        make_stats(), job="WordCount", executor="process", n_workers=4
     )
     assert report.job == "WordCount"
-    assert report.executor == "thread"
+    assert report.executor == "process"
+    # Local runs shuffle as a phase between map and reduce, not as a fold.
+    assert "overlapped" not in report.render()
     assert report.n_workers == 4
     assert report.n_map_tasks == 2 and report.n_reduce_tasks == 1
     assert report.map_seconds == pytest.approx(0.5)
@@ -64,7 +66,6 @@ def test_render_mentions_the_load_bearing_numbers():
         job="RowSum",
         executor="cluster",
         n_workers=2,
-        shuffle_overlapped=True,
         worker_tasks={"host0": 3, "host1": 2},
         worker_steals={"host0": 2, "host1": 1},
         retries=1,
@@ -80,4 +81,7 @@ def test_render_mentions_the_load_bearing_numbers():
 
 def test_render_reports_fallback():
     report = RunReport(job="J", executor="cluster", fallback="no workers joined")
-    assert "no workers joined" in report.render()
+    text = report.render()
+    assert "no workers joined" in text
+    # The fallback ran the shuffle locally, as a phase between map and reduce.
+    assert "overlapped" not in text

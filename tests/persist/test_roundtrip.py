@@ -2,7 +2,7 @@
 
 The contract: ``CorpusIndex.load(path)`` after ``index.save(path)`` restores
 every function, feature mask, threshold and stat bit-identically, answers
-queries exactly like the original index (serial and threaded), and the
+queries exactly like the original index (serial and parallel), and the
 on-disk array bytes reconcile with the §5.4 ``IndexStats`` accounting.
 """
 
@@ -117,22 +117,15 @@ class TestRoundTrip:
         loaded = CorpusIndex.load(index_dir)
         fresh = built_index.query(n_permutations=40, seed=0)
         serial = loaded.query(n_permutations=40, seed=0)
-        threaded = loaded.query(
-            n_permutations=40, seed=0, n_workers=3, executor="thread"
+        parallel = loaded.query(
+            n_permutations=40, seed=0, n_workers=3, executor="process"
         )
         assert_query_results_equal(fresh, serial)
-        assert_query_results_equal(fresh, threaded)
+        assert_query_results_equal(fresh, parallel)
         assert fresh.n_evaluated > 0
 
-    def test_save_and_load_through_thread_engine(self, built_index, tmp_path):
-        built_index.save(tmp_path, n_workers=3, executor="thread")
-        loaded = CorpusIndex.load(tmp_path, n_workers=3, executor="thread")
-        assert_indexes_equal(built_index, loaded)
-        assert loaded.job_stats is not None
-        assert loaded.job_stats.n_map_chunks >= 1
-
     def test_explicit_engine_override(self, built_index, tmp_path):
-        engine = LocalEngine(n_workers=2, executor="thread", map_chunk_size=2)
+        engine = LocalEngine(n_workers=2, executor="process", map_chunk_size=2)
         built_index.save(tmp_path, engine=engine)
         loaded = CorpusIndex.load(tmp_path, engine=engine)
         assert_indexes_equal(built_index, loaded)
@@ -145,6 +138,8 @@ class TestRoundTrip:
         built_index.save(tmp_path, n_workers=2, executor="process")
         loaded = CorpusIndex.load(tmp_path, n_workers=2, executor="process")
         assert_indexes_equal(built_index, loaded)
+        assert loaded.job_stats is not None
+        assert loaded.job_stats.n_map_chunks >= 1
         fresh = built_index.query(n_permutations=40, seed=0)
         processed = loaded.query(
             n_permutations=40, seed=0, n_workers=2, executor="process"

@@ -22,12 +22,12 @@ class TestParser:
     def test_parallel_flags(self):
         args = build_parser().parse_args(
             ["query", "--data", "/tmp/x", "--workers", "4",
-             "--executor", "thread"]
+             "--executor", "process"]
         )
         assert args.workers == 4
-        assert args.executor == "thread"
-        args = build_parser().parse_args(["demo", "--executor", "process"])
         assert args.executor == "process"
+        args = build_parser().parse_args(["demo", "--executor", "serial"])
+        assert args.executor == "serial"
         args = build_parser().parse_args(["demo", "--executor", "cluster"])
         assert args.executor == "cluster"
         # Unset flags stay None so $REPRO_EXECUTOR / $REPRO_WORKERS can
@@ -48,9 +48,16 @@ class TestParser:
         args = build_parser().parse_args(["demo", "--executor", "serial"])
         assert default_engine(args.workers, args.executor).executor == "serial"
 
-    def test_bad_executor_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["demo", "--executor", "gpu"])
+    @pytest.mark.parametrize("bad", ["gpu", "thread"])
+    def test_bad_executor_rejected(self, bad, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(
+                ["query", "--data", "/tmp/x", "--executor", bad]
+            )
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"invalid choice: '{bad}'" in err
+        assert "'serial', 'process', 'cluster'" in err
 
     def test_worker_verb(self):
         args = build_parser().parse_args(
@@ -109,13 +116,13 @@ class TestParser:
         args = build_parser().parse_args(
             ["update", "--data", "/tmp/cat", "--index", "/tmp/idx",
              "--dry-run", "--temporal", "day", "--workers", "2",
-             "--executor", "thread"]
+             "--executor", "process"]
         )
         assert args.data == "/tmp/cat"
         assert args.index == "/tmp/idx"
         assert args.dry_run is True
         assert args.temporal == "day"
-        assert (args.workers, args.executor) == (2, "thread")
+        assert (args.workers, args.executor) == (2, "process")
         with pytest.raises(SystemExit):  # both sources are required
             build_parser().parse_args(["update", "--data", "/tmp/cat"])
         with pytest.raises(SystemExit):

@@ -1,4 +1,4 @@
-"""Tests for RNG plumbing, timers and the error hierarchy."""
+"""Tests for RNG plumbing and the error hierarchy."""
 
 import numpy as np
 import pytest
@@ -13,7 +13,6 @@ from repro.utils.errors import (
     TopologyError,
 )
 from repro.utils.rng import ensure_rng, spawn
-from repro.utils.timer import Timer, timed
 
 
 class TestEnsureRng:
@@ -38,28 +37,6 @@ class TestSpawn:
             assert np.array_equal(ca.integers(0, 100, 5), cb.integers(0, 100, 5))
         draws = [c.integers(0, 2**31) for c in spawn(ensure_rng(5), 3)]
         assert len(set(draws)) == 3
-
-
-class TestTimer:
-    def test_accumulates_laps(self):
-        timer = Timer()
-        for _ in range(3):
-            with timer:
-                pass
-        assert timer.laps == 3
-        assert timer.elapsed >= 0.0
-        assert timer.mean == pytest.approx(timer.elapsed / 3)
-
-    def test_mean_before_first_lap_is_zero(self):
-        assert Timer().mean == 0.0
-
-    def test_timed_adds_into_sink(self):
-        sink = {}
-        with timed(sink, "phase"):
-            pass
-        with timed(sink, "phase"):
-            pass
-        assert sink["phase"] >= 0.0
 
 
 class TestErrorHierarchy:
