@@ -18,8 +18,9 @@ import numpy as np
 import pytest
 
 from repro.distributed import ClusterEngine, local_cluster
+from repro.distributed.coordinator import FALLBACK_EXECUTORS
 from repro.distributed.faults import ENV_VAR
-from repro.mapreduce.engine import LocalEngine, default_engine
+from repro.mapreduce.engine import EXECUTORS, LocalEngine, default_engine
 from repro.mapreduce.job import MapReduceJob
 from repro.utils.errors import ClusterUnavailableError, MapReduceError
 
@@ -225,10 +226,22 @@ class TestGracefulDegradation:
         assert outputs == expected
         assert fallback is not None and "died" in fallback
 
-    @pytest.mark.parametrize("name", ["gpu", "thread"])
-    def test_fallback_name_is_validated(self, name):
+    def test_fallback_name_is_validated(self):
         with pytest.raises(MapReduceError, match="serial, process or None"):
-            ClusterEngine(bind="127.0.0.1:0", fallback=name)
+            ClusterEngine(bind="127.0.0.1:0", fallback="gpu")
+
+    def test_thread_fallback_is_rejected(self):
+        # "thread" is no longer an executor, so it cannot be a fallback.
+        with pytest.raises(MapReduceError, match="serial, process or None"):
+            ClusterEngine(bind="127.0.0.1:0", fallback="thread")
+
+    def test_fallback_list_is_the_local_executor_list(self):
+        assert FALLBACK_EXECUTORS == EXECUTORS
+
+    @pytest.mark.parametrize("name", ["serial", "process"])
+    def test_every_local_executor_is_a_valid_fallback(self, name):
+        engine = ClusterEngine(bind="127.0.0.1:0", fallback=name)
+        assert engine.fallback == name
 
     def test_repro_fallback_env_plumbs_through(self, monkeypatch):
         monkeypatch.setenv("REPRO_EXECUTOR", "cluster")
@@ -241,6 +254,13 @@ class TestGracefulDegradation:
                 MapReduceError, match="REPRO_FALLBACK must be one of serial, process"
             ):
                 default_engine()
+
+    @pytest.mark.parametrize("name", EXECUTORS)
+    def test_repro_fallback_accepts_every_local_executor(self, monkeypatch, name):
+        monkeypatch.setenv("REPRO_EXECUTOR", "cluster")
+        monkeypatch.setenv("REPRO_CLUSTER", "127.0.0.1:7219")
+        monkeypatch.setenv("REPRO_FALLBACK", name)
+        assert default_engine().fallback == name
 
 
 HOUR = 3600

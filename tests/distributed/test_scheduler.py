@@ -207,3 +207,14 @@ class TestKnobValidation:
         )
         assert engine.steal_granularity == 4
         assert engine.prefetch_depth == 3
+
+    @pytest.mark.parametrize(
+        "knob", [{"map_chunk_size": 2}, {"streaming_reduce": False}]
+    )
+    def test_removed_knobs_fail_before_workers_spawn(self, knob):
+        # The overlapped fold is the only shuffle and steal_granularity the
+        # only task-size knob; local_cluster must not start hosts for an
+        # engine it cannot build.
+        with pytest.raises(TypeError):
+            with local_cluster(2, **knob):
+                pass  # pragma: no cover - never reached

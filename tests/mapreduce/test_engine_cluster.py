@@ -47,6 +47,14 @@ class TestEngine:
         )
         assert dict(serial) == dict(parallel)
 
+    def test_serial_ignores_worker_count(self):
+        serial, _ = LocalEngine().run(WordCount(), DOCS)
+        wide, stats = LocalEngine(n_workers=4, executor="serial").run(
+            WordCount(), DOCS
+        )
+        assert wide == serial
+        assert stats.n_map_chunks == len(DOCS)
+
     def test_unknown_executor_rejected(self):
         with pytest.raises(MapReduceError):
             LocalEngine(executor="gpu")
@@ -107,6 +115,21 @@ class TestSpeedupCurve:
         curve = speedup_curve(stats, [1, 4, 16])
         # T1 = 16; Tn >= 8 regardless of n.
         assert curve[16] <= 2.0 + 1e-9
+
+    def test_curve_is_single_node_over_job_makespan(self):
+        stats = self.make_stats([3.0, 1.0, 2.0, 0.5], [1.5, 0.25])
+        stats.shuffle_seconds = 0.75
+        curve = speedup_curve(stats, [1, 2, 3])
+        for n, speedup in curve.items():
+            assert speedup == pytest.approx(
+                job_makespan(stats, 1) / job_makespan(stats, n)
+            )
+
+    def test_makespan_model_is_not_selectable(self):
+        # job_makespan is the one model; there is no overlapped variant.
+        stats = self.make_stats([1.0], [1.0])
+        with pytest.raises(TypeError):
+            speedup_curve(stats, [1, 2], makespan=job_makespan)
 
     def test_job_makespan_includes_shuffle(self):
         stats = self.make_stats([1.0, 1.0], [1.0, 1.0])

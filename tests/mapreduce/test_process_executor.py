@@ -254,13 +254,19 @@ class TestCrashContainment:
 
 
 class TestEngineValidation:
-    @pytest.mark.parametrize("bad", ["gpu", "thread"])
-    def test_unknown_executor_message_lists_valid_ones(self, bad):
+    def test_unknown_executor_message_lists_valid_ones(self):
         with pytest.raises(MapReduceError) as excinfo:
-            LocalEngine(executor=bad)
+            LocalEngine(executor="gpu")
         message = str(excinfo.value)
         assert "valid executors: serial, process" in message
-        assert repr(bad) in message
+        assert "'gpu'" in message
+
+    def test_thread_executor_is_rejected(self):
+        with pytest.raises(MapReduceError) as excinfo:
+            LocalEngine(executor="thread", n_workers=2)
+        message = str(excinfo.value)
+        assert "valid executors: serial, process" in message
+        assert "'thread'" in message
 
     @pytest.mark.parametrize("bad", [0, -3, 1.5, "4"])
     def test_bad_worker_count_message(self, bad):
@@ -289,10 +295,31 @@ class TestAutoChunkSize:
     def test_never_below_one(self):
         assert auto_chunk_size(1, 16, "process") == 1
 
-    @pytest.mark.parametrize("bad", ["gpu", "thread"])
-    def test_unknown_executor_rejected(self, bad):
+    def test_unknown_executor_rejected(self):
         with pytest.raises(MapReduceError, match="serial, process, cluster"):
-            auto_chunk_size(10, 2, bad)
+            auto_chunk_size(10, 2, "gpu")
+
+    def test_thread_executor_rejected(self):
+        with pytest.raises(MapReduceError, match="serial, process, cluster"):
+            auto_chunk_size(10, 2, "thread")
+
+    def test_parallel_executors_share_one_sizing(self):
+        # One tasks-per-worker target for every parallel backend.
+        for n_inputs, n_workers in ((64, 4), (17, 4), (5, 2), (1000, 3)):
+            assert auto_chunk_size(n_inputs, n_workers, "process") == (
+                auto_chunk_size(n_inputs, n_workers, "cluster")
+            )
+
+    def test_engine_resolves_auto_per_executor(self):
+        inputs = [(k, [k]) for k in range(64)]
+        _, serial_stats = LocalEngine(
+            n_workers=4, executor="serial", map_chunk_size="auto"
+        ).run(OrderSensitiveJob(), inputs)
+        _, proc_stats = LocalEngine(
+            n_workers=4, executor="process", map_chunk_size="auto"
+        ).run(OrderSensitiveJob(), inputs)
+        assert serial_stats.n_map_chunks == 64
+        assert proc_stats.n_map_chunks == 8
 
 
 class TestDefaultEngine:
@@ -314,6 +341,21 @@ class TestDefaultEngine:
         monkeypatch.setenv("REPRO_WORKERS", "4")
         engine = default_engine(n_workers=2, executor="serial")
         assert (engine.executor, engine.n_workers) == ("serial", 2)
+
+    @pytest.mark.parametrize("name", ["serial", "process"])
+    def test_each_local_executor_selectable_from_environment(
+        self, monkeypatch, name
+    ):
+        monkeypatch.setenv("REPRO_EXECUTOR", name)
+        monkeypatch.setenv("REPRO_WORKERS", "2")
+        engine = default_engine()
+        assert isinstance(engine, LocalEngine)
+        assert (engine.executor, engine.n_workers) == (name, 2)
+
+    def test_explicit_thread_argument_rejected(self, monkeypatch):
+        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
+        with pytest.raises(MapReduceError, match="'thread'"):
+            default_engine(n_workers=2, executor="thread")
 
     def test_invalid_environment_rejected(self, monkeypatch):
         for bad in ("gpu", "thread"):

@@ -79,6 +79,16 @@ def test_render_mentions_the_load_bearing_numbers():
     assert "retries" in text or "retry" in text
 
 
+def test_legacy_shuffle_overlapped_field_is_ignored():
+    # Reports written before the note was derived carry the old field.
+    payload = RunReport(job="J", executor="process").to_json()
+    assert "shuffle_overlapped" not in payload
+    payload["shuffle_overlapped"] = True
+    restored = RunReport.from_json(payload)
+    assert restored == RunReport(job="J", executor="process")
+    assert "overlapped" not in restored.render()
+
+
 def test_render_reports_fallback():
     report = RunReport(job="J", executor="cluster", fallback="no workers joined")
     text = report.render()

@@ -43,7 +43,7 @@ def traced_run(executor: str, n_workers: int):
 
 @pytest.mark.parametrize(
     "executor,n_workers",
-    [("serial", 1), ("process", 2)],
+    [("serial", 1), ("process", 2), ("process", 3)],
 )
 def test_task_spans_parent_under_the_run_span(executor, n_workers):
     trace, outputs, stats, engine = traced_run(executor, n_workers)

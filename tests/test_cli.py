@@ -48,15 +48,30 @@ class TestParser:
         args = build_parser().parse_args(["demo", "--executor", "serial"])
         assert default_engine(args.workers, args.executor).executor == "serial"
 
-    @pytest.mark.parametrize("bad", ["gpu", "thread"])
-    def test_bad_executor_rejected(self, bad, capsys):
+    def test_bad_executor_rejected(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            build_parser().parse_args(
-                ["query", "--data", "/tmp/x", "--executor", bad]
-            )
+            build_parser().parse_args(["demo", "--executor", "gpu"])
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
-        assert f"invalid choice: '{bad}'" in err
+        assert "invalid choice: 'gpu'" in err
+        assert "'serial', 'process', 'cluster'" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["index", "--data", "/tmp/x", "--out", "/tmp/y"],
+            ["update", "--data", "/tmp/x", "--index", "/tmp/y"],
+            ["query", "--data", "/tmp/x"],
+            ["demo"],
+        ],
+        ids=["index", "update", "query", "demo"],
+    )
+    def test_thread_executor_rejected_by_every_parallel_verb(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv + ["--executor", "thread"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'thread'" in err
         assert "'serial', 'process', 'cluster'" in err
 
     def test_worker_verb(self):
